@@ -605,10 +605,6 @@ class ChaosRunner:
             )
         return result
 
-    def epoch_kill_sweep(self, seeds: list[int]) -> list[ChaosRunResult]:
-        """Run every mid-epoch-kill seed; the golden run is shared."""
-        return [self.run_epoch_kill(seed) for seed in seeds]
-
     def sweep(self, seeds: list[int]) -> list[ChaosRunResult]:
         """Run every seed; the golden run is shared across the sweep."""
         return [self.run_seed(seed) for seed in seeds]
@@ -697,10 +693,6 @@ class ChaosRunner:
         )
         system.run(until=self.duration)
         return self._audit(seed, system, query, plan)
-
-    def partition_sweep(self, seeds: list[int]) -> list[ChaosRunResult]:
-        """Run every partition seed; the golden run is shared."""
-        return [self.run_partition_seed(seed) for seed in seeds]
 
     # -------------------------------------------------------------- utility
 

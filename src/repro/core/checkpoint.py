@@ -9,7 +9,6 @@ backup store and later partitioned (scale out) or restored (recovery).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -86,53 +85,13 @@ class EpochCut:
     ``positions`` (τ) / ``out_clock`` / ``fence_floor``
         Delegated from the payload; ``fence_floor`` is the committed-prefix
         floor a recovery installing this cut must pass to ``fence_slot``.
-
-    Constructing an ``EpochCut`` directly from ``Checkpoint`` field
-    keywords (``EpochCut(op_name=..., state=...)``) is supported as a
-    deprecated alias for one release and warns.
     """
 
     __slots__ = ("checkpoint", "epoch", "fence_epoch")
 
-    _LEGACY_FIELDS = (
-        "op_name",
-        "slot_uid",
-        "state",
-        "buffers",
-        "taken_at",
-        "seq",
-        "incremental",
-        "base_seq",
-        "deleted_keys",
-    )
-
     def __init__(
-        self,
-        checkpoint: Checkpoint | None = None,
-        *,
-        epoch: int = 0,
-        fence_epoch: int = 0,
-        **legacy: Any,
+        self, checkpoint: Checkpoint, *, epoch: int = 0, fence_epoch: int = 0
     ) -> None:
-        if legacy:
-            unknown = set(legacy) - set(self._LEGACY_FIELDS)
-            if unknown:
-                raise TypeError(
-                    f"EpochCut got unexpected keyword(s) {sorted(unknown)}"
-                )
-            if checkpoint is not None:
-                raise TypeError(
-                    "pass either a checkpoint or legacy Checkpoint fields, not both"
-                )
-            warnings.warn(
-                "constructing EpochCut from Checkpoint field keywords is "
-                "deprecated; pass EpochCut(Checkpoint(...), epoch=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            checkpoint = Checkpoint(**legacy)
-        if checkpoint is None:
-            raise TypeError("EpochCut requires a Checkpoint payload")
         self.checkpoint = checkpoint
         self.epoch = epoch
         self.fence_epoch = fence_epoch

@@ -714,10 +714,6 @@ class OutputBuffer:
                 del self._by_dest[dest]
         return dropped
 
-    def drop_destination(self, dest_slot: int) -> None:
-        """Forget all buffered tuples for one destination."""
-        self._by_dest.pop(dest_slot, None)
-
     def repartition(self, route: Callable[[Tuple], int]) -> None:
         """Reassign every buffered tuple to the destination chosen by
         ``route`` (Algorithm 2, partition-buffer-state)."""

@@ -1,12 +1,9 @@
-"""Fault tolerance: detection, recovery coordination, baseline strategies."""
+"""Fault tolerance: detection, recovery coordination, active replication."""
 
 from repro.fault.detector import HeartbeatMonitor
 from repro.fault.recovery import RecoveryCoordinator
-from repro.fault.strategies import SourceReplayRecovery, UpstreamBackupRecovery
 
 __all__ = [
     "HeartbeatMonitor",
     "RecoveryCoordinator",
-    "SourceReplayRecovery",
-    "UpstreamBackupRecovery",
 ]

@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.checkpoint import Checkpoint
-from repro.sim.vm import VirtualMachine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.instance import OperatorInstance
@@ -115,15 +114,9 @@ class ActiveReplicationManager:
         system.instances[replica.uid] = replica
         replica.is_replica = False  # starts emitting from here on
 
-        upstreams: list["OperatorInstance"] = []
-        for up_name in qm.upstream_of(failed.op_name):
-            for up_slot in qm.slots_of(up_name):
-                upstream = system.live_instance(up_slot.uid)
-                if upstream is not None:
-                    upstreams.append(upstream)
-        for upstream in upstreams:
-            upstream.set_routing(failed.op_name, routing)
-            upstream.repartition_buffer(failed.op_name)
+        # The replica is current, so the upstreams need not stop.
+        assert system.reconfig is not None
+        upstreams = system.reconfig._reroute(failed.op_name, routing, pause=False)
         # Replay anything the replica may have missed (it was teed all
         # traffic, so nearly everything is dropped as already-seen).
         from repro.runtime.instance import REPLAY_DEDUP, REPLAY_DROP

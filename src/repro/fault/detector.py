@@ -241,13 +241,6 @@ class PhiFailureDetector:
         watch = self._watches.get(uid)
         return watch.state if watch is not None else None
 
-    def phi_of(self, uid: int) -> float:
-        """Current phi of a watched slot (0.0 if unwatched)."""
-        watch = self._watches.get(uid)
-        if watch is None:
-            return 0.0
-        return watch.estimator.phi(self.system.sim.now)
-
     # ----------------------------------------------------------- heartbeat
 
     def _monitor_vm(self) -> VirtualMachine | None:

@@ -1,17 +1,32 @@
 """Recovery coordinator (§4.2, Fig. 4).
 
-Dispatches detected failures to the configured strategy:
+Turns each detected failure into a recovery under the configured
+strategy.  Every strategy but active replication is a
+:class:`~repro.scaling.reconfig.ReconfigPlan` for the shared
+reconfiguration engine — operator recovery is "a special case of scale
+out" (Algorithm 3) — and the plans differ only in where the
+replacement's state comes from:
 
 * ``rsm`` — recovery using state management: restore the most recent
   checkpoint and replay unprocessed tuples.  With
-  ``recovery_parallelism == 1`` this is serial recovery via
-  :meth:`~repro.scaling.coordinator.ScaleOutCoordinator.recover_slot`;
-  with a higher value the failed operator is *scaled out during
+  ``recovery_parallelism == 1`` this is serial recovery: the replacement
+  keeps the failed slot's uid and resumes the checkpoint's output clock,
+  so downstream duplicate filters drop its re-emissions exactly (§3.2).
+  With a higher value the failed operator is *scaled out during
   recovery* (parallel recovery), splitting the replay across partitions.
-* ``upstream_backup`` / ``source_replay`` — the rebuild-based baselines.
+* ``upstream_backup`` (UB) [8] — no checkpoints: every operator buffers
+  a window of output tuples and replays them to a fresh replacement,
+  which rebuilds its state by re-processing.
+* ``source_replay`` (SR) [29] — only the sources buffer.  They stop
+  generating and replay their buffers through the whole pipeline;
+  intermediate operators re-derive the failed operator's input.
+  Completion is pipeline quiescence.
+* ``active_replication`` — promote the failed primary's replica
+  (:mod:`repro.fault.active`).
 
-Overload and failure are handled by the same machinery (Algorithm 3), so
-"operator recovery becomes a special case of scale out".
+UB and SR rebuild state rather than restoring it, so their recovery time
+scales with the buffered window instead of the checkpoint interval — the
+comparison in Fig. 11.
 """
 
 from __future__ import annotations
@@ -25,11 +40,24 @@ from repro.config import (
     STRATEGY_SOURCE_REPLAY,
     STRATEGY_UPSTREAM_BACKUP,
 )
-from repro.fault.strategies import SourceReplayRecovery, UpstreamBackupRecovery
+from repro.scaling.reconfig import (
+    KIND_RECOVERY,
+    SOURCE_BACKUP,
+    SOURCE_FRESH,
+    SOURCE_SOURCE_REPLAY,
+    ReconfigPlan,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.instance import OperatorInstance
     from repro.runtime.system import StreamProcessingSystem
+
+#: Strategy -> (state source, event-detail label) of its recovery plan.
+_PLANS = {
+    STRATEGY_RSM: (SOURCE_BACKUP, ""),
+    STRATEGY_UPSTREAM_BACKUP: (SOURCE_FRESH, "UB"),
+    STRATEGY_SOURCE_REPLAY: (SOURCE_SOURCE_REPLAY, "SR"),
+}
 
 
 class RecoveryCoordinator:
@@ -37,8 +65,6 @@ class RecoveryCoordinator:
 
     def __init__(self, system: "StreamProcessingSystem") -> None:
         self.system = system
-        self._upstream_backup = UpstreamBackupRecovery(system)
-        self._source_replay = SourceReplayRecovery(system)
         #: Completed recoveries as (completion_time, duration) pairs.
         self.recovery_durations: list[tuple[float, float]] = []
         self._handled: set[int] = set()
@@ -78,35 +104,48 @@ class RecoveryCoordinator:
         system.telemetry.record_detection(
             instance.uid, instance.op_name, failure_time
         )
-        if strategy == STRATEGY_RSM:
-            self._recover_rsm(instance, failure_time)
-        elif strategy == STRATEGY_UPSTREAM_BACKUP:
-            self._upstream_backup.recover(instance, failure_time, self._record)
-        elif strategy == STRATEGY_SOURCE_REPLAY:
-            self._source_replay.recover(instance, failure_time, self._record)
-        elif strategy == STRATEGY_ACTIVE_REPLICATION:
-            assert self.system.replication is not None
-            self.system.replication.promote(instance, failure_time, self._record)
+        self._dispatch(instance, failure_time)
 
-    def _recover_rsm(
-        self, instance: "OperatorInstance", failure_time: float
-    ) -> None:
+    def _dispatch(self, instance: "OperatorInstance", failure_time: float) -> None:
+        """Start one recovery attempt under the configured strategy.
+
+        First attempts and retries both come through here, so an aborted
+        upstream-backup or source-replay recovery is retried as itself
+        and never falls back to a checkpoint restore (there are no
+        checkpoints).
+        """
         system = self.system
-        parallelism = system.config.fault.recovery_parallelism
-        assert system.scale_out is not None
-        if parallelism == 1:
-            started = system.scale_out.recover_slot(
-                instance.uid, failure_time, on_complete=self._record
-            )
-        else:
+        cfg = system.config.fault
+        if cfg.strategy == STRATEGY_ACTIVE_REPLICATION:
+            assert system.replication is not None
+            system.replication.promote(instance, failure_time, self._record)
+            return
+        if cfg.strategy == STRATEGY_RSM and cfg.recovery_parallelism > 1:
+            assert system.scale_out is not None
             started = system.scale_out.scale_out_slot(
                 instance.uid,
-                parallelism=parallelism,
+                parallelism=cfg.recovery_parallelism,
                 reason="parallel recovery",
                 failure_time=failure_time,
                 on_complete=self._record,
             )
-        if not started:
+        else:
+            source, label = _PLANS[cfg.strategy]
+            assert system.reconfig is not None
+            started = system.reconfig.submit(
+                ReconfigPlan(
+                    kind=KIND_RECOVERY,
+                    op_name=instance.op_name,
+                    old_slots=[instance.slot],
+                    state_source=source,
+                    preserve_slots=cfg.strategy == STRATEGY_RSM,
+                    reason="failure",
+                    failure_time=failure_time,
+                    on_complete=self._record,
+                    label=label,
+                )
+            )
+        if not started and cfg.strategy == STRATEGY_RSM:
             # Backup unavailable right now (e.g. backup VM also failed and
             # a re-checkpoint is in flight): retry with backoff.
             self.schedule_retry(instance, failure_time)
@@ -161,26 +200,8 @@ class RecoveryCoordinator:
         system.sim.schedule(delay, self._retry, instance, failure_time)
 
     def _retry(self, instance: "OperatorInstance", failure_time: float) -> None:
-        current = self.system.instances.get(instance.uid)
-        if current is not instance:
-            return
-        # Re-dispatch through the *configured* strategy: an aborted
-        # upstream-backup or source-replay recovery must not silently
-        # fall back to checkpoint restore (there are no checkpoints).
-        strategy = self.system.config.fault.strategy
-        if strategy == STRATEGY_UPSTREAM_BACKUP:
-            self._upstream_backup.recover(instance, failure_time, self._record)
-        elif strategy == STRATEGY_SOURCE_REPLAY:
-            self._source_replay.recover(instance, failure_time, self._record)
-        elif strategy == STRATEGY_RSM:
-            self._recover_rsm(instance, failure_time)
-
-    def retry_recovery(
-        self, instance: "OperatorInstance", failure_time: float
-    ) -> None:
-        """Re-attempt recovery of a still-dead instance (e.g. after an
-        aborted scale-out/recovery operation lost its backup VM)."""
-        self._retry(instance, failure_time)
+        if self.system.instances.get(instance.uid) is instance:
+            self._dispatch(instance, failure_time)
 
     def _record(self, duration: float) -> None:
         self.recovery_durations.append((self.system.sim.now, duration))

@@ -1559,13 +1559,7 @@ class OperatorInstance:
 
     def _upstream_slot_uids(self) -> set[int]:
         """Live upstream slots whose barriers this instance must align."""
-        qm = self.system.query_manager
-        uids: set[int] = set()
-        for up_name in qm.upstream_of(self.op_name):
-            for slot in qm.slots_of(up_name):
-                if self.system.live_instance(slot.uid) is not None:
-                    uids.add(slot.uid)
-        return uids
+        return {up.uid for up in self.system.live_upstreams(self.op_name)}
 
     def _barrier_park(self, tup: Tuple) -> bool:
         """Park a fresh tuple whose sender is blocked under any epoch.

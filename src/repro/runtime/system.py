@@ -208,6 +208,17 @@ class StreamProcessingSystem:
             return instance
         return None
 
+    def live_upstreams(self, op_name: str) -> list[OperatorInstance]:
+        """Live instances of every operator feeding ``op_name``, in query
+        then partition order."""
+        qm = self.query_manager
+        return [
+            upstream
+            for up_name in qm.upstream_of(op_name)
+            for slot in qm.slots_of(up_name)
+            if (upstream := self.live_instance(slot.uid)) is not None
+        ]
+
     def instances_of(self, op_name: str) -> list[OperatorInstance]:
         """Live instances realising ``op_name``, in partition order."""
         result = []
@@ -362,13 +373,7 @@ class StreamProcessingSystem:
 
     def choose_backup_vm(self, instance: OperatorInstance) -> VirtualMachine | None:
         """Pick backup(o) among upstream VMs: hash(id(o)) mod |up(o)|."""
-        upstream_ops = self.query_manager.upstream_of(instance.op_name)
-        candidates: list[OperatorInstance] = []
-        for op_name in upstream_ops:
-            for slot in self.query_manager.slots_of(op_name):
-                up = self.live_instance(slot.uid)
-                if up is not None:
-                    candidates.append(up)
+        candidates = self.live_upstreams(instance.op_name)
         if not candidates:
             return None
         candidates.sort(key=lambda inst: inst.uid)

@@ -1,21 +1,19 @@
-"""Scale-out policy adapter (§4.3, Algorithm 3).
+"""Scale-out policy (§4.3, Algorithm 3).
 
 ``scale-out-operator(o, π)`` replaces one operator partition with π new
 partitions built from the partition's *backed-up checkpoint* — never from
 the live (overloaded or dead) instance.  The same machinery therefore
-serves three purposes:
+serves both of this coordinator's uses:
 
 * **scale out** of a bottleneck partition (π ≥ 2, old instance alive);
-* **serial recovery** of a failed partition (:meth:`recover_slot`, π = 1,
-  slot-preserving so downstream duplicate filters keep working exactly);
 * **parallel recovery** (π ≥ 2 with the old instance dead), which splits
   the replay work across several new partitions (§4.2).
 
-All three are literally the same mechanism: this coordinator only
-validates the request and constructs a
-:class:`~repro.scaling.reconfig.ReconfigPlan` with a *backup-checkpoint*
-state source; the shared phase machine in
-:class:`~repro.scaling.reconfig.ReconfigurationEngine` does the rest
+Serial recovery (π = 1, slot-preserving) is the same mechanism too; the
+:class:`~repro.fault.recovery.RecoveryCoordinator` plans it.  This
+coordinator validates the request and builds a backup-sourced
+:class:`~repro.scaling.reconfig.ReconfigPlan`; the shared phase machine
+in :class:`~repro.scaling.reconfig.ReconfigurationEngine` does the rest
 (VM acquisition, partitioning on the backup VM's CPU, network transfer,
 restore, routing swap, replay drain, aborts).
 """
@@ -31,7 +29,6 @@ from repro.scaling.reconfig import (
     SOURCE_BACKUP,
     ReconfigPlan,
 )
-from repro.sim.vm import VirtualMachine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scaling.reconfig import ReconfigurationEngine
@@ -48,27 +45,6 @@ class ScaleOutCoordinator:
     def _engine(self) -> "ReconfigurationEngine":
         assert self.system.reconfig is not None
         return self.system.reconfig
-
-    # Counters live in the engine; keep the historical names readable.
-    @property
-    def operations_started(self) -> int:
-        return self._engine.operations_started
-
-    @property
-    def operations_completed(self) -> int:
-        return self._engine.operations_completed
-
-    @property
-    def operations_aborted(self) -> int:
-        return self._engine.operations_aborted
-
-    def is_busy(self, op_name: str) -> bool:
-        """Whether any partition of ``op_name`` is being replaced."""
-        return self._engine.is_replacing(op_name)
-
-    def is_busy_slot(self, slot_uid: int) -> bool:
-        """Whether this specific slot is being replaced."""
-        return self._engine.is_busy_slot(slot_uid)
 
     # ------------------------------------------------------------ scale out
 
@@ -152,40 +128,3 @@ class ScaleOutCoordinator:
             on_complete=on_complete,
         )
         return self._engine.submit(plan)
-
-    # ------------------------------------------------------------- recovery
-
-    def recover_slot(
-        self,
-        slot_uid: int,
-        failure_time: float,
-        on_complete: Callable[[float], None] | None = None,
-    ) -> bool:
-        """Serial recovery: restore the failed slot on a new VM (π = 1).
-
-        Slot-preserving: the replacement keeps the slot uid and resumes
-        the checkpoint's output clock, so downstream duplicate filters
-        drop its re-emissions exactly (§3.2 restore semantics).
-        """
-        system = self.system
-        failed = system.instance(slot_uid)
-        if failed is None:
-            return False
-        plan = ReconfigPlan(
-            kind=KIND_RECOVERY,
-            op_name=failed.op_name,
-            old_slots=[failed.slot],
-            parallelism=1,
-            state_source=SOURCE_BACKUP,
-            preserve_slots=True,
-            reason="failure",
-            failure_time=failure_time,
-            on_complete=on_complete,
-        )
-        return self._engine.submit(plan)
-
-    # ---------------------------------------------------------------- abort
-
-    def abort_operations_on_backup_vm(self, vm: VirtualMachine) -> None:
-        """Abort in-flight operations whose state lives on a retiring VM."""
-        self._engine.abort_operations_on_backup_vm(vm)

@@ -33,10 +33,28 @@ What each phase means depends on the plan's *state source*:
   buffers through the whole pipeline; REPLAY_DRAIN polls for pipeline
   quiescence instead of counting.
 
-Policy objects (:class:`~repro.scaling.coordinator.ScaleOutCoordinator`,
-:class:`~repro.scaling.scale_in.ScaleInCoordinator`, the recovery
-strategies in :mod:`repro.fault.strategies`) are thin adapters that
-construct a :class:`ReconfigPlan` and submit it here.  Every
+Whatever the source, the hand-over itself is built from one copy of each
+of the paper's steps, and every commit path calls the same ones:
+
+* :meth:`ReconfigurationEngine._reroute` — stop-operator, routing update
+  and partition-buffer-state over the operator's *current* live
+  upstreams (Alg. 3 lines 9-11);
+* :meth:`ReconfigurationEngine._replay_into` — replay-buffer-state into
+  the replacement partitions (lines 12-13), counting what each must
+  drain per origin and watching every feeder, so a feeder crash
+  mid-drain releases its share instead of wedging the operation;
+* :meth:`ReconfigurationEngine._await_drains` — REPLAY_DRAIN: each
+  replacement reports once it re-processed its replays;
+* :meth:`ReconfigurationEngine._launch` and
+  :meth:`ReconfigurationEngine._close` — the PLAN tail (active list,
+  deadlines, watchdog) and the DONE/ABORTED tail (timers, timeline,
+  listeners) every operation shares.
+
+Plans come from the policies that decide *when* to reconfigure:
+:class:`~repro.scaling.coordinator.ScaleOutCoordinator` (scale out,
+carve-outs, parallel recovery), :class:`~repro.scaling.scale_in.ScaleInCoordinator`
+(merges) and :class:`~repro.fault.recovery.RecoveryCoordinator` (serial
+R+SM, upstream-backup and source-replay recoveries).  Every
 reconfiguration records a :class:`~repro.sim.metrics.PhaseTimeline`
 in the metrics hub, and each phase can carry a deadline after which the
 operation aborts (per-plan ``phase_timeouts`` or the engine-wide
@@ -53,7 +71,7 @@ from repro.core.checkpoint import BackupStore, Checkpoint, EpochCut
 from repro.core.execution import Slot
 from repro.core.migration import MigrationChunk, StateMover
 from repro.core.partition import partition_checkpoint, split_interval_groups
-from repro.core.state import KeyInterval
+from repro.core.state import KeyInterval, RoutingState
 from repro.core.tuples import stable_hash
 from repro.runtime.instance import REPLAY_ACCEPT, REPLAY_DEDUP, REPLAY_DROP
 from repro.sim.metrics import PhaseTimeline
@@ -120,7 +138,7 @@ _SR_QUIET_POLLS = 2
 
 @dataclass
 class ReconfigPlan:
-    """What a policy adapter asks the engine to do.
+    """What a policy asks the engine to do.
 
     A plan names the slots being replaced, the target parallelism, and
     where the replacement state comes from; the engine supplies the
@@ -403,16 +421,9 @@ class ReconfigurationEngine:
                 cap = system.config.scaling.max_concurrent_operations
                 if cap is not None and len(self._busy_slots) >= cap:
                     return False
-        op = Reconfiguration(
-            plan,
-            system.metrics.start_phase_timeline(
-                plan.kind, plan.op_name, [slot_uid], system.sim.now
-            ),
-            system.sim.now,
-        )
+        op = self._open(plan)
         op.ckpt = ckpt
         op.external_restore = external_restore
-        op.timeline.enter(PHASE_PLAN, system.sim.now)
         self._busy_slots[slot_uid] = plan.op_name
         if plan.state_source == SOURCE_BACKUP:
             # Freeze upstream-buffer trimming for this slot: the
@@ -428,12 +439,7 @@ class ReconfigurationEngine:
                     )
         self.operations_started += 1
         self._mark_started(op, old)
-        self._active.append(op)
-        self._arm_deadline(op, PHASE_PLAN)
-        op.timers.append(
-            system.sim.schedule(self.watchdog_seconds, self._watchdog, op)
-        )
-        self._notify(op, PHASE_PLAN)
+        self._launch(op)
         self._enter_acquire_vms(op)
         return True
 
@@ -466,23 +472,9 @@ class ReconfigurationEngine:
         instances = [system.live_instance(slot.uid) for slot in plan.old_slots]
         if any(inst is None for inst in instances):
             return False
-        op = Reconfiguration(
-            plan,
-            system.metrics.start_phase_timeline(
-                plan.kind,
-                plan.op_name,
-                [slot.uid for slot in plan.old_slots],
-                system.sim.now,
-            ),
-            system.sim.now,
-        )
+        op = self._open(plan)
         op.old_instances = instances  # type: ignore[assignment]
-        op.timeline.enter(PHASE_PLAN, system.sim.now)
-        for up_name in system.query_manager.upstream_of(plan.op_name):
-            for slot in system.query_manager.slots_of(up_name):
-                upstream = system.live_instance(slot.uid)
-                if upstream is not None:
-                    op.upstreams.append(upstream)
+        op.upstreams = system.live_upstreams(plan.op_name)
         self._busy_merges.add(plan.op_name)
         left, right = op.old_instances
         system.metrics.mark_event(
@@ -493,14 +485,51 @@ class ReconfigurationEngine:
         # quiesce half of quiesce-and-merge, Alg. 3 style).
         for upstream in op.upstreams:
             upstream.pause()
+        self._launch(op)
+        system.sim.schedule(_MERGE_DRAIN_POLL, self._poll_merge_drain, op)
+        return True
+
+    def _open(self, plan: ReconfigPlan) -> Reconfiguration:
+        """A new operation for ``plan``, its timeline already in PLAN."""
+        now = self.system.sim.now
+        timeline = self.system.metrics.start_phase_timeline(
+            plan.kind, plan.op_name, [slot.uid for slot in plan.old_slots], now
+        )
+        op = Reconfiguration(plan, timeline, now)
+        timeline.enter(PHASE_PLAN, now)
+        return op
+
+    def _launch(self, op: Reconfiguration) -> None:
+        """The PLAN tail every submit shares: the operation goes live
+        (active list, PLAN deadline, watchdog) and listeners see PLAN."""
         self._active.append(op)
         self._arm_deadline(op, PHASE_PLAN)
         op.timers.append(
-            system.sim.schedule(self.watchdog_seconds, self._watchdog, op)
+            self.system.sim.schedule(self.watchdog_seconds, self._watchdog, op)
         )
         self._notify(op, PHASE_PLAN)
-        system.sim.schedule(_MERGE_DRAIN_POLL, self._poll_merge_drain, op)
-        return True
+
+    def _close(self, op: Reconfiguration, phase: str) -> None:
+        """The DONE/ABORTED tail every operation shares: disarm its
+        timers, leave the active list, close the timeline and tell the
+        listeners.
+
+        Cancelling matters even though every timer handler guards
+        against dead operations: an uncancelled watchdog pins the
+        operation (and everything it references) in the event queue for
+        up to ten minutes of simulated time.
+        """
+        for event in op.timers:
+            if event.pending:
+                event.cancel()
+        op.timers.clear()
+        if op in self._active:
+            self._active.remove(op)
+        now = self.system.sim.now
+        op.timeline.enter(phase, now)
+        op.timeline.close(now, "done" if phase == PHASE_DONE else "aborted")
+        op.phase = phase
+        self._notify(op, phase)
 
     # -------------------------------------------------- phase transitions
 
@@ -528,30 +557,7 @@ class ReconfigurationEngine:
         self._abort(op, f"{phase} deadline exceeded")
 
     def _watchdog(self, op: Reconfiguration) -> None:
-        if op.aborted or op.finished:
-            return
-        if op.fluid is not None:
-            # A fluid migration commits chunk by chunk, so ``committed``
-            # flips long before it is done; the watchdog still bounds the
-            # whole operation (abort keeps the committed chunks).
-            self._abort_fluid(op, "watchdog timeout")
-            return
-        if not op.committed:
-            self._abort(op, "watchdog timeout")
-
-    def _cancel_timers(self, op: Reconfiguration) -> None:
-        """Disarm every outstanding deadline/watchdog timer of ``op``.
-
-        Called on DONE and ABORTED.  The handlers all guard against dead
-        operations, so a late timer firing was already a no-op — but an
-        uncancelled watchdog pins the operation (and everything it
-        references) in the event queue for up to ten minutes of
-        simulated time per reconfiguration.
-        """
-        for event in op.timers:
-            if event.pending:
-                event.cancel()
-        op.timers.clear()
+        self._abort(op, "watchdog timeout")
 
     # --------------------------------------------------------- ACQUIRE_VMS
 
@@ -746,12 +752,27 @@ class ReconfigurationEngine:
         if not (left.alive and left.vm.alive and right.alive and right.vm.alive):
             self._abort(op, "partition failed while draining")
             return
+        if self._unpaused_upstream(op):
+            self._abort(op, "upstream replaced while quiescing")
+            return
         idle = left.is_quiescent() and right.is_quiescent()
         op.quiet_polls = op.quiet_polls + 1 if idle else 0
         if op.quiet_polls < _MERGE_DRAIN_QUIET:
             system.sim.schedule(_MERGE_DRAIN_POLL, self._poll_merge_drain, op)
             return
         self._enter_acquire_vms(op)
+
+    def _unpaused_upstream(self, op: Reconfiguration) -> bool:
+        """Whether a live upstream of the merging operator was not paused
+        at PLAN — typically a failed upstream's successor, deployed
+        mid-merge under the old routing.  It keeps feeding the two
+        partitions, so they never truly quiesce, and the commit would
+        not reroute it: everything it sent afterwards would go to the
+        retired slots.  The merge must abort instead."""
+        return any(
+            upstream not in op.upstreams
+            for upstream in self.system.live_upstreams(op.plan.op_name)
+        )
 
     # ------------------------------------------------------------ TRANSFER
 
@@ -864,10 +885,10 @@ class ReconfigurationEngine:
             return
         op.backup_vm = backup_vm
         backup_vm.on_failure(
-            lambda _vm, op=op: self._abort_fluid(op, "backup VM failed")
+            lambda _vm, op=op: self._abort(op, "backup VM failed")
         )
         old.vm.on_failure(
-            lambda _vm, op=op: self._abort_fluid(op, "source VM failed")
+            lambda _vm, op=op: self._abort(op, "source VM failed")
         )
         routing = qm.routing_to(plan.op_name)
         owned = routing.intervals_of(op.old_slot.uid)
@@ -1079,33 +1100,17 @@ class ReconfigurationEngine:
             op.old_slot.uid, chunk.intervals, target.uid
         )
         qm.store_routing(plan.op_name, new_routing)
-        upstreams: list["OperatorInstance"] = []
-        for up_name in qm.upstream_of(plan.op_name):
-            for up_slot in qm.slots_of(up_name):
-                upstream = system.live_instance(up_slot.uid)
-                if upstream is not None:
-                    upstreams.append(upstream)
-        for upstream in upstreams:
-            upstream.pause()
-            upstream.set_routing(plan.op_name, new_routing)
-            upstream.repartition_buffer(plan.op_name)
+        upstreams = self._reroute(plan.op_name, new_routing)
         discarded = old.commit_parked()
         if discarded:
             system.metrics.increment("migration_parked_discarded", discarded)
         if chunk.final and not fluid.partial:
             self._retire_source(op)
             target.replay_all_buffers()
-        sent = 0
-        by_slot: dict[int, int] = {}
         replay_ids: set[tuple[int, int]] = set()
-        for upstream in upstreams:
-            counts: dict[int, int] = {}
-            sent += upstream.replay_buffer_to(
-                target.uid, flag_replay=True, counts=counts, ids=replay_ids
-            )
-            for stamp, n in counts.items():
-                by_slot[stamp] = by_slot.get(stamp, 0) + n
-            self._watch_drain_feeder(op, upstream, set(counts))
+        sent, by_slot = self._replay_into(
+            op, upstreams, [target.uid], ids=replay_ids
+        )
         for upstream in upstreams:
             upstream.resume()
         op.committed = True
@@ -1181,12 +1186,12 @@ class ReconfigurationEngine:
         # re-arms dedup mode for its own wave.
         target.replay_mode = REPLAY_DEDUP
         target.expect_replays(
-            sent,
+            sent[target.uid],
             lambda op=op, chunk=chunk, target=target: self._chunk_drained(
                 op, chunk, target
             ),
             flagged_only=True,
-            by_slot=by_slot,
+            by_slot=by_slot[target.uid],
             drain_intervals=chunk.intervals,
             expected_ids=replay_ids,
         )
@@ -1283,11 +1288,8 @@ class ReconfigurationEngine:
         fluid = op.fluid
         assert fluid is not None
         op.aborted = True
-        if op in self._active:
-            self._active.remove(op)
         self.operations_aborted += 1
         self._busy_slots.pop(op.old_slot.uid, None)
-        self._cancel_timers(op)
         old = fluid.old
         chunk = fluid.in_flight
         if old.alive and old.vm.alive:
@@ -1332,10 +1334,7 @@ class ReconfigurationEngine:
             f"{plan.op_name}: {why} "
             f"(kept {fluid.committed_chunks}/{fluid.total} chunks)",
         )
-        op.timeline.enter(PHASE_ABORTED, system.sim.now)
-        op.timeline.close(system.sim.now, "aborted")
-        op.phase = PHASE_ABORTED
-        self._notify(op, PHASE_ABORTED)
+        self._close(op, PHASE_ABORTED)
 
     # ------------------------------------------------------------- RESTORE
 
@@ -1406,6 +1405,9 @@ class ReconfigurationEngine:
         if not (left.vm.alive and right.vm.alive):
             self._abort(op, "partition failed before restore")
             return
+        if self._unpaused_upstream(op):
+            self._abort(op, "upstream replaced while quiescing")
+            return
         assert op.merged_ckpt is not None
         vm = op.vms[0]
         instance = system.deployment.build_instance(op.new_slots[0], vm)
@@ -1451,12 +1453,9 @@ class ReconfigurationEngine:
         system.deployment.configure_services(instance)
         if zombie is not None:
             system.notify_fenced(zombie, via_vm=vm)
-        for up_name in qm.upstream_of(plan.op_name):
-            for slot in qm.slots_of(up_name):
-                upstream = system.live_instance(slot.uid)
-                if upstream is not None:
-                    upstream.set_routing(plan.op_name, new_routing)
-                    upstream.repartition_buffer(plan.op_name)
+        # Plain upstream backup never stops the upstreams (see
+        # _commit_fresh): they only learn the new route.
+        self._reroute(plan.op_name, new_routing, pause=False)
         if system.detector is not None:
             system.detector.forget_slot(failed.uid)
         op.instances = [instance]
@@ -1571,42 +1570,11 @@ class ReconfigurationEngine:
 
         # Update every upstream operator: stop, repartition routing and
         # buffers, replay unprocessed tuples, restart (lines 9-14).
-        upstreams: list["OperatorInstance"] = []
-        for up_name in qm.upstream_of(plan.op_name):
-            for slot in qm.slots_of(up_name):
-                upstream = system.live_instance(slot.uid)
-                if upstream is not None:
-                    upstreams.append(upstream)
-        sent: dict[int, int] = {slot.uid: 0 for slot in op.new_slots}
-        by_slot: dict[int, dict[int, int]] = {
-            slot.uid: {} for slot in op.new_slots
-        }
-        for upstream in upstreams:
-            upstream.pause()
-            upstream.set_routing(plan.op_name, new_routing)
-            upstream.repartition_buffer(plan.op_name)
-        for upstream in upstreams:
-            feeder_stamps: set[int] = set()
-            for slot in op.new_slots:
-                counts: dict[int, int] = {}
-                sent[slot.uid] += upstream.replay_buffer_to(
-                    slot.uid, flag_replay=True, counts=counts
-                )
-                per = by_slot[slot.uid]
-                for stamp, n in counts.items():
-                    per[stamp] = per.get(stamp, 0) + n
-                feeder_stamps |= set(counts)
-            self._watch_drain_feeder(op, upstream, feeder_stamps)
-        op.pending_drain_uids = {instance.uid for instance in op.instances}
-        self._enter(op, PHASE_REPLAY_DRAIN)
-        for instance in op.instances:
-            instance.replay_mode = REPLAY_DEDUP
-            instance.expect_replays(
-                sent[instance.uid],
-                lambda op=op, uid=instance.uid: self._drain_done(op, uid),
-                flagged_only=True,
-                by_slot=by_slot[instance.uid],
-            )
+        upstreams = self._reroute(plan.op_name, new_routing)
+        sent, by_slot = self._replay_into(
+            op, upstreams, [slot.uid for slot in op.new_slots]
+        )
+        self._await_drains(op, sent, by_slot, REPLAY_DEDUP)
         for upstream in upstreams:
             upstream.resume()
 
@@ -1619,37 +1587,16 @@ class ReconfigurationEngine:
     def _commit_preserved(self, op: Reconfiguration) -> None:
         """Serial recovery hand-over: same slot, restored τ, replays."""
         system = self.system
-        qm = system.query_manager
         op.committed = True
         instance = op.instances[0]
         instance.replay_all_buffers()
-        upstreams: list["OperatorInstance"] = []
-        for up_name in qm.upstream_of(op.plan.op_name):
-            for slot in qm.slots_of(up_name):
-                upstream = system.live_instance(slot.uid)
-                if upstream is not None and upstream.uid != instance.uid:
-                    upstreams.append(upstream)
+        # Routing is unchanged (same slot uid): the upstreams only stop
+        # while their buffers replay.
+        upstreams = system.live_upstreams(op.plan.op_name)
         for upstream in upstreams:
             upstream.pause()
-        sent = 0
-        by_slot: dict[int, int] = {}
-        for upstream in upstreams:
-            counts: dict[int, int] = {}
-            sent += upstream.replay_buffer_to(
-                instance.uid, flag_replay=True, counts=counts
-            )
-            for stamp, n in counts.items():
-                by_slot[stamp] = by_slot.get(stamp, 0) + n
-            self._watch_drain_feeder(op, upstream, set(counts))
-        op.pending_drain_uids = {instance.uid}
-        self._enter(op, PHASE_REPLAY_DRAIN)
-        instance.replay_mode = REPLAY_DEDUP
-        instance.expect_replays(
-            sent,
-            lambda uid=instance.uid: self._drain_done(op, uid),
-            flagged_only=True,
-            by_slot=by_slot,
-        )
+        sent, by_slot = self._replay_into(op, upstreams, [instance.uid])
+        self._await_drains(op, sent, by_slot, REPLAY_DEDUP)
         for upstream in upstreams:
             upstream.resume()
         system.record_vm_count()
@@ -1692,11 +1639,9 @@ class ReconfigurationEngine:
             if system.detector is not None:
                 system.detector.forget_slot(old.uid)
 
-        for upstream in op.upstreams:
-            if not upstream.alive:
-                continue
-            upstream.set_routing(plan.op_name, routing)
-            upstream.repartition_buffer(plan.op_name)
+        # The upstreams are still stopped from PLAN and flushed: rerouting
+        # them all before restarting any sends nothing in between.
+        for upstream in self._reroute(plan.op_name, routing, pause=False):
             upstream.resume()
         system.record_vm_count()
         # Merges quiesced before committing: nothing left to drain.
@@ -1712,34 +1657,10 @@ class ReconfigurationEngine:
         slower than SR at high rates (§6.2).
         """
         system = self.system
-        qm = system.query_manager
         op.committed = True
-        instance = op.instances[0]
-        instance.replay_mode = REPLAY_ACCEPT
-        upstreams: list["OperatorInstance"] = []
-        for up_name in qm.upstream_of(op.plan.op_name):
-            for slot in qm.slots_of(up_name):
-                upstream = system.live_instance(slot.uid)
-                if upstream is not None:
-                    upstreams.append(upstream)
-        sent = 0
-        by_slot: dict[int, int] = {}
-        for upstream in upstreams:
-            counts: dict[int, int] = {}
-            sent += upstream.replay_buffer_to(
-                instance.uid, flag_replay=True, counts=counts
-            )
-            for stamp, n in counts.items():
-                by_slot[stamp] = by_slot.get(stamp, 0) + n
-            self._watch_drain_feeder(op, upstream, set(counts))
-        op.pending_drain_uids = {instance.uid}
-        self._enter(op, PHASE_REPLAY_DRAIN)
-        instance.expect_replays(
-            sent,
-            lambda uid=instance.uid: self._drain_done(op, uid),
-            flagged_only=True,
-            by_slot=by_slot,
-        )
+        upstreams = system.live_upstreams(op.plan.op_name)
+        sent, by_slot = self._replay_into(op, upstreams, [op.instances[0].uid])
+        self._await_drains(op, sent, by_slot, REPLAY_ACCEPT)
         system.record_vm_count()
 
     def _commit_source_replay(self, op: Reconfiguration) -> None:
@@ -1767,28 +1688,89 @@ class ReconfigurationEngine:
 
     # -------------------------------------------------------- REPLAY_DRAIN
 
-    def _watch_drain_feeder(
+    def _reroute(
+        self,
+        op_name: str,
+        routing: RoutingState,
+        pause: bool = True,
+    ) -> list["OperatorInstance"]:
+        """stop-operator + partition-buffer-state (Alg. 3 lines 9-11).
+
+        Installs ``routing`` on every *current* live upstream of
+        ``op_name`` and re-buckets their buffers under it, stopping each
+        first unless ``pause`` is false.  Returns those upstreams; the
+        caller replays from and restarts them.
+        """
+        upstreams = self.system.live_upstreams(op_name)
+        for upstream in upstreams:
+            if pause:
+                upstream.pause()
+            upstream.set_routing(op_name, routing)
+            upstream.repartition_buffer(op_name)
+        return upstreams
+
+    def _replay_into(
         self,
         op: Reconfiguration,
-        upstream: "OperatorInstance",
-        stamps: set[int],
-    ) -> None:
-        """Release a feeder's drain share if the feeder dies mid-drain.
+        upstreams: list["OperatorInstance"],
+        target_uids: list[int],
+        ids: set[tuple[int, int]] | None = None,
+    ) -> tuple[dict[int, int], dict[int, dict[int, int]]]:
+        """replay-buffer-state (Alg. 3 lines 12-13) into the targets.
 
-        A committed operation's replay drain counts on every scheduled
-        replay arriving; a feeder VM crash silently drops its unsent
-        replays, which would leave the drain (and the busy slot) wedged
-        forever.  The feeder's own recovery re-delivers the gap from its
-        restored buffer, so the draining instance releases the share and
-        rewinds its arrival watermark (see ``release_replays_from``).
+        Every upstream resends its buffered tuples for each target,
+        flagged as replays.  Returns, per target uid, the number of
+        replays sent and their breakdown by origin slot stamp (what the
+        target's drain must count); ``ids`` collects the replayed
+        ``(slot, ts)`` pairs when the drain needs them exactly.
+
+        Each upstream that replayed anything is watched: a feeder VM
+        crash silently drops its unsent replays, which would wedge the
+        drain (and the busy slot) forever.  The feeder's own recovery
+        re-delivers the gap from its restored buffer, so on its death
+        the draining targets release its share and rewind their arrival
+        watermarks (see ``release_replays_from``).
         """
-        if not stamps:
-            return
-        upstream.vm.on_failure(
-            lambda _vm, op=op, stamps=frozenset(stamps): (
-                self._drain_feeder_failed(op, stamps)
+        sent = {uid: 0 for uid in target_uids}
+        by_slot: dict[int, dict[int, int]] = {uid: {} for uid in target_uids}
+        for upstream in upstreams:
+            stamps: set[int] = set()
+            for uid in target_uids:
+                counts: dict[int, int] = {}
+                sent[uid] += upstream.replay_buffer_to(
+                    uid, flag_replay=True, counts=counts, ids=ids
+                )
+                per = by_slot[uid]
+                for stamp, n in counts.items():
+                    per[stamp] = per.get(stamp, 0) + n
+                stamps |= counts.keys()
+            if stamps:
+                upstream.vm.on_failure(
+                    lambda _vm, op=op, stamps=frozenset(stamps): (
+                        self._drain_feeder_failed(op, stamps)
+                    )
+                )
+        return sent, by_slot
+
+    def _await_drains(
+        self,
+        op: Reconfiguration,
+        sent: dict[int, int],
+        by_slot: dict[int, dict[int, int]],
+        mode: str,
+    ) -> None:
+        """Enter REPLAY_DRAIN: every replacement admits its replays under
+        ``mode`` and reports once it re-processed all of them."""
+        op.pending_drain_uids = {instance.uid for instance in op.instances}
+        self._enter(op, PHASE_REPLAY_DRAIN)
+        for instance in op.instances:
+            instance.replay_mode = mode
+            instance.expect_replays(
+                sent[instance.uid],
+                lambda op=op, uid=instance.uid: self._drain_done(op, uid),
+                flagged_only=True,
+                by_slot=by_slot[instance.uid],
             )
-        )
 
     def _drain_feeder_failed(
         self, op: Reconfiguration, stamps: frozenset[int]
@@ -1838,9 +1820,6 @@ class ReconfigurationEngine:
         system = self.system
         plan = op.plan
         op.finished = True
-        self._cancel_timers(op)
-        if op in self._active:
-            self._active.remove(op)
         origin = (
             plan.failure_time if plan.failure_time is not None else op.started_at
         )
@@ -1887,10 +1866,7 @@ class ReconfigurationEngine:
                 system.metrics.timeseries("scale_out_duration").record(
                     system.sim.now, duration
                 )
-        op.timeline.enter(PHASE_DONE, system.sim.now)
-        op.timeline.close(system.sim.now, "done")
-        op.phase = PHASE_DONE
-        self._notify(op, PHASE_DONE)
+        self._close(op, PHASE_DONE)
         if plan.on_complete is not None:
             plan.on_complete(duration)
 
@@ -1909,9 +1885,11 @@ class ReconfigurationEngine:
     def _abort(self, op: Reconfiguration, why: str) -> None:
         if op.aborted or op.finished:
             return
-        if op.fluid is not None:
+        if op.fluid is not None and op.fluid.committed_chunks < op.fluid.total:
             # Fluid migrations commit chunk by chunk; their abort keeps
-            # the committed chunks instead of unwinding everything.
+            # the committed chunks instead of unwinding everything.  Once
+            # the last chunk committed only its drain remains, as for any
+            # operation past COMMIT, and nothing is left to abort.
             self._abort_fluid(op, why)
             return
         if op.committed:
@@ -1919,9 +1897,6 @@ class ReconfigurationEngine:
         system = self.system
         plan = op.plan
         op.aborted = True
-        self._cancel_timers(op)
-        if op in self._active:
-            self._active.remove(op)
         if plan.state_source == SOURCE_MERGE:
             self.merges_aborted += 1
             self._busy_merges.discard(plan.op_name)
@@ -1989,7 +1964,4 @@ class ReconfigurationEngine:
                 if failed is not None and not failed.alive:
                     assert plan.failure_time is not None
                     system.recovery.schedule_retry(failed, plan.failure_time)
-        op.timeline.enter(PHASE_ABORTED, system.sim.now)
-        op.timeline.close(system.sim.now, "aborted")
-        op.phase = PHASE_ABORTED
-        self._notify(op, PHASE_ABORTED)
+        self._close(op, PHASE_ABORTED)

@@ -27,7 +27,7 @@ sustained low utilisation — the inverse of the §5.1 policy.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.errors import ScaleOutError
 from repro.scaling.reconfig import KIND_SCALE_IN, SOURCE_MERGE, ReconfigPlan
@@ -49,35 +49,13 @@ class ScaleInCoordinator:
         assert self.system.reconfig is not None
         return self.system.reconfig
 
-    @property
-    def merges_completed(self) -> int:
-        return self._engine.merges_completed
-
-    @property
-    def merges_aborted(self) -> int:
-        return self._engine.merges_aborted
-
-    def is_busy(self, op_name: str) -> bool:
-        """Whether a merge of ``op_name`` is in flight."""
-        return self._engine.is_merging(op_name)
-
     # ------------------------------------------------------------ selection
 
     def mergeable_pair(
         self, op_name: str
     ) -> tuple["OperatorInstance", "OperatorInstance"] | None:
         """Find two live partitions owning adjacent key intervals."""
-        system = self.system
-        routing = system.query_manager.routing_to(op_name)
-        entries = list(routing)
-        for (left_iv, left_uid), (right_iv, right_uid) in zip(entries, entries[1:]):
-            if left_uid == right_uid or left_iv.hi != right_iv.lo:
-                continue
-            left = system.live_instance(left_uid)
-            right = system.live_instance(right_uid)
-            if left is not None and right is not None:
-                return left, right
-        return None
+        return next(self._adjacent_pairs(op_name), None)
 
     def neighbor_of(
         self, slot_uid: int
@@ -88,22 +66,26 @@ class ScaleInCoordinator:
         side is ``slot_uid``.  Used by hot-key cool-down to re-absorb a
         carved-out slot into whichever neighbour borders it.
         """
-        system = self.system
-        instance = system.live_instance(slot_uid)
+        instance = self.system.live_instance(slot_uid)
         if instance is None:
             return None
-        routing = system.query_manager.routing_to(instance.op_name)
-        entries = list(routing)
+        pairs = self._adjacent_pairs(instance.op_name)
+        return next((pair for pair in pairs if instance in pair), None)
+
+    def _adjacent_pairs(
+        self, op_name: str
+    ) -> Iterator[tuple["OperatorInstance", "OperatorInstance"]]:
+        """Live partition pairs owning adjacent key intervals, in key
+        order."""
+        system = self.system
+        entries = list(system.query_manager.routing_to(op_name))
         for (left_iv, left_uid), (right_iv, right_uid) in zip(entries, entries[1:]):
             if left_uid == right_uid or left_iv.hi != right_iv.lo:
-                continue
-            if slot_uid not in (left_uid, right_uid):
                 continue
             left = system.live_instance(left_uid)
             right = system.live_instance(right_uid)
             if left is not None and right is not None:
-                return left, right
-        return None
+                yield left, right
 
     # -------------------------------------------------------------- merging
 
@@ -116,35 +98,10 @@ class ScaleInCoordinator:
 
         Returns whether a merge was started.
         """
-        system = self.system
-        if self._engine.is_merging(op_name):
-            return False
-        if self._engine.is_replacing(op_name):
-            return False
-        if system.query_manager.parallelism_of(op_name) < 2:
-            return False
-        from repro.core.operator import Operator
-
-        operator = system.query_manager.query.operator(op_name)  # type: ignore[union-attr]
-        if operator.stateful and type(operator).merge_values is Operator.merge_values:
-            raise ScaleOutError(
-                f"operator {op_name} does not define merge_values; "
-                "scale in needs it to combine overlapping entries"
-            )
-        pair = self.mergeable_pair(op_name)
-        if pair is None:
-            return False
-        left, right = pair
-        plan = ReconfigPlan(
-            kind=KIND_SCALE_IN,
-            op_name=op_name,
-            old_slots=[left.slot, right.slot],
-            parallelism=1,
-            state_source=SOURCE_MERGE,
-            reason="under-utilised",
-            on_complete=on_complete,
+        return self._merge(
+            op_name, lambda: self.mergeable_pair(op_name), "under-utilised",
+            on_complete,
         )
-        return self._engine.submit(plan)
 
     def merge_slot(
         self,
@@ -157,11 +114,26 @@ class ScaleInCoordinator:
         cooled-down hot-key carve-out into its neighbour.  Returns
         whether a merge was started.
         """
-        system = self.system
-        instance = system.live_instance(slot_uid)
+        instance = self.system.live_instance(slot_uid)
         if instance is None:
             return False
-        op_name = instance.op_name
+        return self._merge(
+            instance.op_name, lambda: self.neighbor_of(slot_uid),
+            "hot-key cooled", on_complete,
+        )
+
+    def _merge(
+        self,
+        op_name: str,
+        find_pair: Callable[[], tuple["OperatorInstance", "OperatorInstance"] | None],
+        reason: str,
+        on_complete: Callable[[float], None] | None,
+    ) -> bool:
+        """Submit a merge of the pair ``find_pair`` picks, if ``op_name``
+        is idle, partitioned and mergeable.  The pair is looked up only
+        after those checks: operators without input routing (sources)
+        have no pairs to look up."""
+        system = self.system
         if self._engine.is_merging(op_name):
             return False
         if self._engine.is_replacing(op_name):
@@ -176,7 +148,7 @@ class ScaleInCoordinator:
                 f"operator {op_name} does not define merge_values; "
                 "scale in needs it to combine overlapping entries"
             )
-        pair = self.neighbor_of(slot_uid)
+        pair = find_pair()
         if pair is None:
             return False
         left, right = pair
@@ -186,7 +158,7 @@ class ScaleInCoordinator:
             old_slots=[left.slot, right.slot],
             parallelism=1,
             state_source=SOURCE_MERGE,
-            reason="hot-key cooled",
+            reason=reason,
             on_complete=on_complete,
         )
         return self._engine.submit(plan)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -335,35 +334,6 @@ class MetricsHub:
             reservoir = LatencyReservoir(name)
             self.latencies[name] = reservoir
         return reservoir
-
-    # ------------------------------------------------- deprecated aliases
-
-    def time_series_for(self, name: str) -> TimeSeries:
-        """Deprecated alias of :meth:`timeseries`."""
-        warnings.warn(
-            "MetricsHub.time_series_for() is deprecated; use hub.timeseries()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.timeseries(name)
-
-    def rate_series_for(self, name: str, bin_width: float = 1.0) -> RateSeries:
-        """Deprecated alias of :meth:`rate`."""
-        warnings.warn(
-            "MetricsHub.rate_series_for() is deprecated; use hub.rate()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.rate(name, bin_width)
-
-    def latency_for(self, name: str) -> LatencyReservoir:
-        """Deprecated alias of :meth:`latency`."""
-        warnings.warn(
-            "MetricsHub.latency_for() is deprecated; use hub.latency()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.latency(name)
 
     # ------------------------------------------------------------ events
 

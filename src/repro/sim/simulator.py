@@ -143,10 +143,6 @@ class Simulator:
         """Stop the current :meth:`run` after the in-flight event."""
         self._halted = True
 
-    def pending_events(self) -> int:
-        """Number of live (non-cancelled) events in the queue."""
-        return len(self._queue)
-
 
 class PeriodicTask:
     """A repeating callback managed by :meth:`Simulator.every`."""

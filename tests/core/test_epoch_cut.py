@@ -50,17 +50,6 @@ class TestEpochCutDescriptor:
         assert cut.entry_count() == ckpt.entry_count()
         assert cut.size_bytes(64.0, 64.0) == ckpt.size_bytes(64.0, 64.0)
 
-    def test_legacy_keyword_construction_warns_and_builds(self):
-        with pytest.warns(DeprecationWarning):
-            cut = EpochCut(
-                op_name="op", slot_uid=7, state=ProcessingState({"a": 1}), seq=3
-            )
-        assert isinstance(cut.checkpoint, Checkpoint)
-        assert cut.op_name == "op"
-        assert cut.slot_uid == 7
-        assert cut.seq == 3
-        assert cut.epoch == 0
-
     def test_unknown_keyword_rejected(self):
         with pytest.raises(TypeError):
             EpochCut(op_name="op", slot_uid=7, state=ProcessingState(), bogus=1)

@@ -108,9 +108,9 @@ class TestScaleOut:
         uid = system.query_manager.slots_of("counter")[0].uid
         assert system.scale_out.scale_out_slot(uid, 2)
         assert not system.scale_out.scale_out_slot(uid, 2)
-        assert system.scale_out.is_busy("counter")
+        assert system.reconfig.is_replacing("counter")
         system.run(until=20.0)
-        assert not system.scale_out.is_busy("counter")
+        assert not system.reconfig.is_replacing("counter")
 
     def test_no_backup_aborts(self):
         system, gen, _col = small_system(checkpoint_interval=100.0)

@@ -6,6 +6,7 @@ identical phase sequence through the single engine, and every kind of
 topology change must leave a queryable phase timeline behind.
 """
 
+from repro.runtime.instance import OperatorInstance
 from repro.scaling.reconfig import (
     PHASE_ABORTED,
     PHASE_DONE,
@@ -14,6 +15,7 @@ from repro.scaling.reconfig import (
     PHASE_REPLAY_DRAIN,
     PHASE_TRANSFER,
 )
+from repro.sim.simulator import PRIORITY_FAILURE
 from tests.conftest import small_system
 
 
@@ -167,7 +169,7 @@ class TestPhaseDeadlines:
         assert timeline.outcome == "aborted"
         assert timeline.phases[-1] == PHASE_ABORTED
         # The frozen operator resumed; the system still works.
-        assert not system.scale_out.is_busy("counter")
+        assert not system.reconfig.is_replacing("counter")
         current = system.instances_of("counter")[0]
         assert current.alive and not current.vm.paused
 
@@ -242,16 +244,14 @@ class TestPhaseDeadlines:
 
 
 class TestEngineBookkeeping:
-    def test_counters_visible_through_both_adapters(self):
+    def test_counters_live_in_the_engine(self):
         system, _gen, _col = warmed_system()
         uid = system.query_manager.slots_of("counter")[0].uid
         assert system.scale_out.scale_out_slot(uid, 2)
         system.run(until=20.0)
-        assert system.scale_out.operations_completed == 1
         assert system.reconfig.operations_completed == 1
         assert system.scale_in.scale_in("counter")
         system.run(until=40.0)
-        assert system.scale_in.merges_completed == 1
         assert system.reconfig.merges_completed == 1
 
     def test_active_operations_drain_to_empty(self):
@@ -271,3 +271,72 @@ class TestEngineBookkeeping:
         assert system.scale_in.scale_in("counter")
         busy_uid = system.query_manager.slots_of("counter")[0].uid
         assert not system.scale_out.scale_out_slot(busy_uid, 2)
+
+
+class TestFeederDeathMidDrain:
+    """mid — counter's only feeder, and the VM holding its backups —
+    crashes the instant a counter operation enters REPLAY_DRAIN.  The
+    replays it had not sent yet never arrive; the feeder-death watch the
+    replay step arms must release them so the drain completes, and
+    mid's own recovery must re-deliver the gap exactly once."""
+
+    TUPLES = 3000
+
+    def run(self, monkeypatch, start, **config):
+        system, gen, _col = small_system(checkpoint_interval=1.0)
+        for name, value in config.items():
+            setattr(system.config.migration, name, value)
+        for i in range(self.TUPLES):
+            gen.feed_at(1.0 + i * 0.002, f"k{i % 50}")
+        released = []
+        release = OperatorInstance.release_replays_from
+
+        def recording_release(instance, slot_uid):
+            released.append(release(instance, slot_uid))
+            return released[-1]
+
+        monkeypatch.setattr(
+            OperatorInstance, "release_replays_from", recording_release
+        )
+        ops = []
+
+        def kill_feeder(op, phase):
+            if phase == PHASE_REPLAY_DRAIN and op.plan.op_name == "counter":
+                if not ops:
+                    ops.append(op)
+                    system.sim.schedule(
+                        0.0,
+                        system.injector.fail_now,
+                        system.vm_of("mid"),
+                        priority=PRIORITY_FAILURE,
+                    )
+
+        system.reconfig.on_phase_change(kill_feeder)
+        start(system)
+        system.run(until=60.0)
+        [op] = ops
+        assert op.phase == PHASE_DONE
+        assert sum(released) > 0
+        counters = [c for c in system.instances_of("counter") if c.alive]
+        total = sum(c.state[key] for c in counters for key in c.state.keys())
+        assert total == self.TUPLES
+
+    @staticmethod
+    def scale_out_at_3s(system):
+        system.run(until=3.0)
+        uid = system.query_manager.slots_of("counter")[0].uid
+        assert system.scale_out.scale_out_slot(uid, 2)
+
+    def test_scale_out(self, monkeypatch):
+        self.run(monkeypatch, self.scale_out_at_3s)
+
+    def test_serial_recovery(self, monkeypatch):
+        self.run(
+            monkeypatch,
+            lambda system: system.injector.fail_target_at(
+                lambda: system.vm_of("counter"), 3.0
+            ),
+        )
+
+    def test_fluid_chunk_commit(self, monkeypatch):
+        self.run(monkeypatch, self.scale_out_at_3s, max_chunks=4)

@@ -38,7 +38,7 @@ class TestScaleIn:
     def test_merges_back_to_one_partition(self):
         system, _gen = self.scaled_then_merged()
         assert system.query_manager.parallelism_of("counter") == 1
-        assert system.scale_in.merges_completed == 1
+        assert system.reconfig.merges_completed == 1
         assert system.metrics.events_of_kind("scale_in_complete")
 
     def test_merged_state_is_union(self):
@@ -85,6 +85,32 @@ class TestScaleIn:
         mid = system.instances_of("mid")[0]
         counter = system.instances_of("counter")[0]
         assert set(mid.routing["counter"].targets) == {counter.uid}
+
+    def test_upstream_recovered_mid_merge_aborts_instead_of_losing_tuples(self):
+        """mid's VM dies just before the merge starts; its successor is
+        deployed (under the pre-merge routing, never paused) while the
+        merge waits for a VM.  Committing would leave the successor
+        routing to the two retired slots and silently drop everything it
+        sends afterwards; the merge must abort instead."""
+        system, gen, _col = small_system(checkpoint_interval=1.0)
+        system.run(until=3.0)
+        split_counter(system)
+        system.injector.fail_target_at(lambda: system.vm_of("mid"), 28.5)
+        merged = []
+        system.sim.schedule_at(
+            30.0, lambda: merged.append(system.scale_in.scale_in("counter"))
+        )
+        keys = [f"new{i}" for i in range(40)]
+        for i, key in enumerate(keys):
+            gen.feed_at(100.0 + 0.1 * i, key)
+        system.run(until=130.0)
+        assert merged == [True]
+        assert system.metrics.events_of_kind("recovery_complete")
+        assert system.metrics.events_of_kind("scale_in_aborted")
+        assert not system.metrics.events_of_kind("scale_in_complete")
+        counters = [c for c in system.instances_of("counter") if c.alive]
+        for key in keys:
+            assert sum(c.state.get(key, 0) for c in counters) == 1
 
     def test_single_partition_not_merged(self):
         system, gen, _col = small_system()

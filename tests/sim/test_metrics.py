@@ -293,15 +293,6 @@ class TestMetricsHub:
         assert hub.rate("b") is hub.rate("b")
         assert hub.latency("c") is hub.latency("c")
 
-    def test_deprecated_aliases_warn_and_delegate(self):
-        hub = MetricsHub()
-        with pytest.warns(DeprecationWarning, match="timeseries"):
-            assert hub.time_series_for("a") is hub.timeseries("a")
-        with pytest.warns(DeprecationWarning, match="rate"):
-            assert hub.rate_series_for("b") is hub.rate("b")
-        with pytest.warns(DeprecationWarning, match="latency"):
-            assert hub.latency_for("c") is hub.latency("c")
-
     def test_counters(self):
         hub = MetricsHub()
         hub.increment("n")
